@@ -3,6 +3,7 @@ package listset
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,29 +14,40 @@ import (
 // sorted, deduplicated keys one at a time — plus the ordered-read
 // invariants (ascending, duplicate-free, linearizable under churn).
 
-// TestCapabilityFlagsMatchSurfaces pins the registry's Batch/Scan/
-// BulkLoad flags to reality: a flag is set iff New's sets implement
-// the corresponding interface natively. A drifted flag would silently
-// route benchmark cells through the wrong code path.
+// TestCapabilityFlagsMatchSurfaces pins the capability surfaces tools
+// read off a built set by type assertion (there are no declared flags
+// to drift): the three native surfaces come together or not at all,
+// and a composition never loses them — an arena form serves what its
+// plain row does, and the sharded façade serves all three over any
+// list. A lost surface would silently route benchmark cells through
+// the per-key fallback.
 func TestCapabilityFlagsMatchSurfaces(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, im Impl) {
-		s := im.New()
-		if _, ok := s.(Batcher); ok != im.Batch {
-			t.Errorf("%s: implements Batcher=%v but registry says Batch=%v", im.Name, ok, im.Batch)
+	native := func(t *testing.T, s Set) bool {
+		_, batch := s.(Batcher)
+		_, scan := s.(Ranger)
+		_, load := s.(Loader)
+		if batch != scan || scan != load {
+			t.Errorf("native Batcher=%v Ranger=%v Loader=%v, want all or none", batch, scan, load)
 		}
-		if _, ok := s.(Ranger); ok != im.Scan {
-			t.Errorf("%s: implements Ranger=%v but registry says Scan=%v", im.Name, ok, im.Scan)
+		return batch
+	}
+	for _, row := range Implementations() {
+		for _, f := range forms(row, 0, 8) {
+			f := f
+			t.Run(f.Name, func(t *testing.T) {
+				want := native(t, row.New()) || strings.Contains(f.Name, "-sharded")
+				if got := native(t, f.New()); got != want {
+					t.Errorf("native surfaces = %v, want %v", got, want)
+				}
+			})
 		}
-		if _, ok := s.(Loader); ok != im.BulkLoad {
-			t.Errorf("%s: implements Loader=%v but registry says BulkLoad=%v", im.Name, ok, im.BulkLoad)
-		}
-	})
+	}
 }
 
 // TestBatchBasicSemantics checks counts and membership for every
 // implementation through the As* adapters (native and fallback alike).
 func TestBatchBasicSemantics(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, im Impl) {
+	forEachImpl(t, 0, 10, func(t *testing.T, im Impl) {
 		s := im.New()
 		b := AsBatcher(s)
 		// Unsorted with duplicates: {5, 1, 9, 3} effective.
@@ -71,7 +83,7 @@ func TestBatchBasicSemantics(t *testing.T) {
 // TestRangeScanSemantics checks [lo, hi) windowing, ascending order
 // and Ascend's early stop for every implementation.
 func TestRangeScanSemantics(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, im Impl) {
+	forEachImpl(t, 0, 100, func(t *testing.T, im Impl) {
 		s := im.New()
 		for k := int64(0); k < 100; k += 2 {
 			s.Insert(k)
@@ -114,7 +126,7 @@ func TestRangeScanSemantics(t *testing.T) {
 // TestLoadSemantics checks bulk population: O(k) on an empty set, a
 // correct merge into a non-empty one, and agreement with Snapshot.
 func TestLoadSemantics(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, im Impl) {
+	forEachImpl(t, 0, 10, func(t *testing.T, im Impl) {
 		s := im.New()
 		l := AsLoader(s)
 		if got := l.Load([]int64{7, 3, 9, 3, 1}); got != 4 {
@@ -155,7 +167,7 @@ func FuzzBatchVsOracle(f *testing.F) {
 		seed = append(seed, 0, i) // op boundary noise
 	}
 	f.Add(seed)
-	impls := Implementations()
+	impls := allForms(0, 32)
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 2048 {
 			t.Skip("long programs add time, not coverage")
@@ -252,12 +264,12 @@ func FuzzBatchVsOracle(f *testing.F) {
 // stable evens of its window — an even missing or duplicated would be
 // a scan that saw a state no linearization of the history allows.
 func TestRangeScanLinearizable(t *testing.T) {
-	forEachConcurrentImpl(t, func(t *testing.T, im Impl) {
-		if !im.Scan && testing.Short() {
+	const keys = 256
+	forEachConcurrentImpl(t, 0, keys, func(t *testing.T, im Impl) {
+		s := im.New()
+		if _, native := s.(Ranger); !native && testing.Short() {
 			t.Skip("fallback Ranger is Snapshot-based; covered by the native impls")
 		}
-		const keys = 256
-		s := im.New()
 		for k := int64(0); k < keys; k += 2 {
 			s.Insert(k)
 		}
@@ -316,11 +328,11 @@ func TestRangeScanLinearizable(t *testing.T) {
 // strict ascent, no sentinel leakage — and that every surviving key
 // was inserted at some point.
 func TestBatchConcurrentChurn(t *testing.T) {
-	forEachConcurrentImpl(t, func(t *testing.T, im Impl) {
-		if !im.Batch {
+	forEachConcurrentImpl(t, 0, 192, func(t *testing.T, im Impl) {
+		s := im.New()
+		if _, native := s.(Batcher); !native {
 			t.Skip("native batch surfaces only; fallback is the per-key ops already under test")
 		}
-		s := im.New()
 		b := AsBatcher(s)
 		r := AsRanger(s)
 		var stop atomic.Bool
@@ -434,7 +446,7 @@ func TestShardSeamBatch(t *testing.T) {
 // TestShardSeamBatchParallel repeats the seam batch through the
 // parallel fan-out path.
 func TestShardSeamBatchParallel(t *testing.T) {
-	s := NewVBLShardedRange(16, 0, 1024)
+	s := mustLookup(t, "vbl").NewSharded(16, 0, 1024)
 	type parallelizer interface{ SetBatchParallel(bool) }
 	p, ok := s.(parallelizer)
 	if !ok {
@@ -464,14 +476,10 @@ func TestShardSeamBatchParallel(t *testing.T) {
 // implementation without native surfaces still serves the full batch
 // contract through AsBatcher/AsRanger/AsLoader.
 func TestFallbackAdapterOnUnportedImpl(t *testing.T) {
-	im, err := Lookup("hoh")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if im.Batch || im.Scan || im.BulkLoad {
+	s := mustLookup(t, "hoh").New()
+	if _, native := s.(Batcher); native {
 		t.Fatal("hoh grew native surfaces; retarget this test at a fallback impl")
 	}
-	s := im.New()
 	if got := AsBatcher(s).InsertAll([]int64{3, 1, 2, 1}); got != 3 {
 		t.Fatalf("fallback InsertAll = %d, want 3", got)
 	}

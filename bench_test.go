@@ -53,11 +53,11 @@ func benchCell(b *testing.B, im Impl, threads int, wl workload.Config) {
 	wg.Wait()
 }
 
-func mustLookup(b *testing.B, name string) Impl {
-	b.Helper()
+func mustLookup(tb testing.TB, name string) Impl {
+	tb.Helper()
 	im, err := Lookup(name)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return im
 }

@@ -22,7 +22,7 @@ func TestChaosConformance(t *testing.T) {
 	for _, sc := range failpoint.Shipped(99) {
 		sc := sc
 		t.Run(sc.String(), func(t *testing.T) {
-			forEachConcurrentImpl(t, func(t *testing.T, im Impl) {
+			forEachConcurrentImpl(t, 0, 12, func(t *testing.T, im Impl) {
 				runChaosTrial(t, im, sc)
 			})
 		})
@@ -102,7 +102,7 @@ func runChaosTrial(t *testing.T, im Impl, sc failpoint.Scenario) {
 // surface as a non-linearizable history or a broken snapshot order.
 func TestChaosShardSeamFaults(t *testing.T) {
 	const shards = 16
-	s := NewVBLShardedRange(shards, 0, 64)
+	s := mustLookup(t, "vbl").NewSharded(shards, 0, 64)
 	b, ok := s.(interface{ Boundaries() []int64 })
 	if !ok {
 		t.Fatal("sharded façade does not expose Boundaries")

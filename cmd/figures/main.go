@@ -44,6 +44,7 @@ import (
 	"listset/internal/adapt"
 	"listset/internal/failpoint"
 	"listset/internal/harness"
+	"listset/internal/shard"
 	"listset/internal/workload"
 )
 
@@ -310,17 +311,18 @@ func figureSkipList(p protocol) {
 // ~2·10⁴ every flat list is traversal-bound — even sharded VBL only
 // divides O(n) by S — while the skip indexes stay log-time. The
 // figure lines up the strongest lists (flat and sharded VBL, Lazy,
-// Harris) against vbskip, vbskip-arena, and their sharded forms at the
+// Harris) against vbskip, its arena form, and their sharded forms at the
 // same shard count; scripts/bench_index.sh turns the expected ordering
 // into a committed gate.
 func figureIndex(p protocol) {
 	p.header("=== Log-time at large ranges: skip indexes vs every list ===")
 	for _, keyRange := range []int64{20000, 200000} {
-		cands := candidates("vbl", "lazy", "harris", "vbskip", "vbskip-arena")
+		cands := candidates("vbl", "lazy", "harris", "vbskip")
 		cands = append(cands,
-			shardedCandidate("vbl", listset.DefaultShards, keyRange),
-			shardedCandidate("vbskip", listset.DefaultShards, keyRange),
-			shardedCandidate("vbskip-arena", listset.DefaultShards, keyRange),
+			formCandidate("vbskip", 0, true, keyRange),
+			formCandidate("vbl", shard.DefaultShards, false, keyRange),
+			formCandidate("vbskip", shard.DefaultShards, false, keyRange),
+			formCandidate("vbskip", shard.DefaultShards, true, keyRange),
 		)
 		title := fmt.Sprintf("index r=%d", keyRange)
 		runAndReport(p, title, cands,
@@ -339,26 +341,32 @@ func figureSharded(p protocol, shardCounts []int) {
 	wl := workload.Config{UpdatePercent: 20, Range: 16384}
 	cands := candidates("vbl", "lazy", "harris")
 	for _, s := range shardCounts {
-		cands = append(cands, shardedCandidate("vbl", s, wl.Range))
+		cands = append(cands, formCandidate("vbl", s, false, wl.Range))
 	}
 	runAndReport(p, "sharded r=16384", cands, wl, "vbl")
 }
 
-// shardedCandidate enters the named implementation's sharded form,
-// partitioned over [0, keyRange), as e.g. "vbl-s16".
-func shardedCandidate(name string, shards int, keyRange int64) harness.Candidate {
+// formCandidate enters the named implementation in one composition:
+// arena selects arena-backed node lifetimes, shards > 0 partitions
+// [0, keyRange) across that many lists. Names read e.g. "vbl-s16" or
+// "vbskip-arena-s16".
+func formCandidate(name string, shards int, arena bool, keyRange int64) harness.Candidate {
 	im, err := listset.Lookup(name)
 	if err != nil {
 		panic(err)
 	}
-	if im.NewSharded == nil {
-		panic(fmt.Sprintf("figures: %s has no sharded form", im.Name))
+	c := harness.Candidate{Name: im.Name, Shards: shards, New: func() harness.Set { return im.New() }}
+	newSharded := im.NewSharded
+	if arena {
+		c.Name += "-arena"
+		c.New = func() harness.Set { return im.NewArena() }
+		newSharded = im.NewShardedArena
 	}
-	return harness.Candidate{
-		Name:   fmt.Sprintf("%s-s%d", im.Name, shards),
-		New:    func() harness.Set { return im.NewSharded(shards, 0, keyRange) },
-		Shards: shards,
+	if shards > 0 {
+		c.Name += fmt.Sprintf("-s%d", shards)
+		c.New = func() harness.Set { return newSharded(shards, 0, keyRange) }
 	}
+	return c
 }
 
 // figureBatch prices the amortized one-pass batch surface (DESIGN.md
@@ -429,9 +437,9 @@ func figureAdapt(p protocol) {
 	const nShards, keyRange = 16, int64(20000)
 	p.retryBudget = 32
 	base := workload.Config{UpdatePercent: 50, Range: keyRange}
-	static := shardedCandidate("vbl", nShards, keyRange)
+	static := formCandidate("vbl", nShards, false, keyRange)
 	static.Name = "vbl-s16-static"
-	adaptive := shardedCandidate("vbl", nShards, keyRange)
+	adaptive := formCandidate("vbl", nShards, false, keyRange)
 	adaptive.Name = "vbl-s16-adapt"
 	adaptive.Adapt = &adapt.Config{Rebalance: true}
 	cands := []harness.Candidate{static, adaptive}

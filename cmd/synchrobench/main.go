@@ -74,9 +74,9 @@
 //	                 across the range each phase)
 //	-phase-dur       dwell time per phase (default 150ms)
 //
-// Sharding: -shards N (or -impl vbl-sharded) routes keys through the
-// order-preserving range partitioner of internal/shard, so each of N
-// independent lists owns range/N keys and traversals walk O(n/N) nodes.
+// Sharding: -shards N routes keys through the order-preserving range
+// partitioner of internal/shard, so each of N independent lists owns
+// range/N keys and traversals walk O(n/N) nodes.
 //
 // Memory (see internal/mem):
 //
@@ -89,7 +89,8 @@
 // The JSON report's "mem" section carries allocs_per_op/bytes_per_op
 // over the measured intervals, the headline the arena moves.
 //
-// Use -list to see the available implementations.
+// Use -list to see the available implementations and which of -shards
+// and -arena each accepts.
 package main
 
 import (
@@ -120,7 +121,7 @@ func main() {
 	var (
 		implName    = flag.String("impl", "vbl", "implementation to benchmark (see -list)")
 		threads     = flag.Int("threads", 4, "number of worker goroutines")
-		shards      = flag.Int("shards", 0, "split the key range across N independent lists (0 = unsharded; *-sharded impls default to 16)")
+		shards      = flag.Int("shards", 0, "split the key range across N independent lists (0 = unsharded)")
 		updateRatio = flag.Int("update-ratio", 20, "percent of update operations (x/2% inserts, x/2% removes)")
 		keyRange    = flag.Int64("range", 2048, "key range; steady-state set size is about range/2")
 		duration    = flag.Duration("duration", 1*time.Second, "measured duration per run")
@@ -166,7 +167,7 @@ func main() {
 			if !im.ThreadSafe {
 				safe = "SINGLE-THREADED"
 			}
-			fmt.Printf("  %-12s %-15s %s\n", im.Name, safe, im.Desc)
+			fmt.Printf("  %-18s %-15s %-14s %s\n", im.Name, safe, compositions(im), im.Desc)
 		}
 		return
 	}
@@ -181,17 +182,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Shard resolution: an explicit -shards N wins; the *-sharded
-	// registry entries default to DefaultShards when the flag is absent,
-	// so `-impl vbl-sharded` alone gets a partition fitted to -range
-	// rather than the constructors' generic focus range.
 	nShards := *shards
 	if nShards < 0 {
 		fmt.Fprintf(os.Stderr, "synchrobench: -shards %d must be non-negative\n", nShards)
 		os.Exit(2)
-	}
-	if nShards == 0 && strings.HasSuffix(im.Name, "-sharded") {
-		nShards = listset.DefaultShards
 	}
 	if nShards > 0 && im.NewSharded == nil {
 		fmt.Fprintf(os.Stderr, "synchrobench: %s has no sharded form; drop -shards or pick vbl, lazy, harris or a skip list\n", im.Name)
@@ -212,9 +206,7 @@ func main() {
 		*probesOn = true
 	}
 
-	// Arena resolution: -arena and the *-arena registry entries mean the
-	// same thing; either way the report carries arena=true.
-	useArena := *arena || im.NewArena != nil && strings.HasSuffix(im.Name, "-arena")
+	useArena := *arena
 	if useArena && im.NewArena == nil {
 		fmt.Fprintf(os.Stderr, "synchrobench: %s has no arena form (node reuse is an ABA hazard for the lock-free lists); drop -arena or pick vbl, lazy or vbskip\n", im.Name)
 		os.Exit(2)
@@ -256,12 +248,18 @@ func main() {
 	default:
 		wl.Dist = *dist // workload.Validate rejects it with the full list
 	}
-	if *scanPct > 0 && !im.Scan {
-		fmt.Fprintf(os.Stderr, "synchrobench: %s has no native range scan; drop -scan or pick vbl, lazy, harris, a skip list or a sharded form\n", im.Name)
-		os.Exit(2)
-	}
-	if *batchSize > 1 && !im.Batch {
-		fmt.Fprintf(os.Stderr, "synchrobench: note: %s has no native batch surface; -batch %d runs the per-key fallback\n", im.Name, *batchSize)
+	// Capabilities are read off the set this run actually builds, so
+	// they are right for every composition (the sharded façade serves
+	// native scans and batches over any list).
+	if *scanPct > 0 || *batchSize > 1 {
+		s := newSet()
+		if _, ok := s.(listset.Ranger); *scanPct > 0 && !ok {
+			fmt.Fprintf(os.Stderr, "synchrobench: %s has no native range scan; drop -scan or pick vbl, lazy, harris, a skip list or a -shards form\n", im.Name)
+			os.Exit(2)
+		}
+		if _, ok := s.(listset.Batcher); *batchSize > 1 && !ok {
+			fmt.Fprintf(os.Stderr, "synchrobench: note: %s has no native batch surface; -batch %d runs the per-key fallback\n", im.Name, *batchSize)
+		}
 	}
 	cfg := harness.Config{
 		Name:               im.Name,
@@ -512,4 +510,20 @@ func writeProfile(name, path string) {
 	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
 		fmt.Fprintf(os.Stderr, "synchrobench: %s profile: %v\n", name, err)
 	}
+}
+
+// compositions names the composition flags im accepts, read from its
+// non-nil constructors.
+func compositions(im listset.Impl) string {
+	var flags []string
+	if im.NewSharded != nil {
+		flags = append(flags, "-shards")
+	}
+	if im.NewArena != nil {
+		flags = append(flags, "-arena")
+	}
+	if len(flags) == 0 {
+		return "-"
+	}
+	return strings.Join(flags, " ")
 }

@@ -2,13 +2,64 @@ package listset
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
-// forEachImpl runs f as a subtest for every registered implementation.
-func forEachImpl(t *testing.T, f func(t *testing.T, im Impl)) {
-	t.Helper()
+// testShards is the shard count of every sharded form the suites build.
+const testShards = 4
+
+// forms returns every non-nil form of the registry row im, each as an
+// Impl whose New builds that form: the plain row, "-arena" (NewArena),
+// "-sharded" (NewSharded) and "-sharded-arena" (NewShardedArena). A
+// sharded form partitions [lo, hi) — the calling suite's own key range
+// — across testShards shards, so the suite's keys straddle shard seams
+// instead of all landing in one shard. An arena form's NewSharded is
+// the row's NewShardedArena, so a test that builds its own partition
+// keeps the form's memory mode.
+func forms(im Impl, lo, hi int64) []Impl {
+	partition := func(mk func(int, int64, int64) Set) func() Set {
+		if mk == nil {
+			return nil
+		}
+		return func() Set { return mk(testShards, lo, hi) }
+	}
+	form := func(suffix string, mk func() Set, sharded func(int, int64, int64) Set) Impl {
+		f := im
+		f.Name, f.New, f.NewSharded = im.Name+suffix, mk, sharded
+		f.NewArena, f.NewShardedArena = nil, nil
+		return f
+	}
+	var out []Impl
+	for _, f := range []Impl{
+		form("", im.New, im.NewSharded),
+		form("-arena", im.NewArena, im.NewShardedArena),
+		form("-sharded", partition(im.NewSharded), im.NewSharded),
+		form("-sharded-arena", partition(im.NewShardedArena), im.NewShardedArena),
+	} {
+		if f.New != nil {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// allForms returns every form of every registered implementation, with
+// the sharded forms partitioning [lo, hi).
+func allForms(lo, hi int64) []Impl {
+	var out []Impl
 	for _, im := range Implementations() {
+		out = append(out, forms(im, lo, hi)...)
+	}
+	return out
+}
+
+// forEachImpl runs f as a subtest for every form of every registered
+// implementation, the sharded forms partitioning the test's key range
+// [lo, hi).
+func forEachImpl(t *testing.T, lo, hi int64, f func(t *testing.T, im Impl)) {
+	t.Helper()
+	for _, im := range allForms(lo, hi) {
 		im := im
 		t.Run(im.Name, func(t *testing.T) { f(t, im) })
 	}
@@ -16,9 +67,9 @@ func forEachImpl(t *testing.T, f func(t *testing.T, im Impl)) {
 
 // forEachConcurrentImpl is forEachImpl restricted to thread-safe
 // implementations.
-func forEachConcurrentImpl(t *testing.T, f func(t *testing.T, im Impl)) {
+func forEachConcurrentImpl(t *testing.T, lo, hi int64, f func(t *testing.T, im Impl)) {
 	t.Helper()
-	for _, im := range Implementations() {
+	for _, im := range allForms(lo, hi) {
 		if !im.ThreadSafe {
 			continue
 		}
@@ -27,8 +78,48 @@ func forEachConcurrentImpl(t *testing.T, f func(t *testing.T, im Impl)) {
 	}
 }
 
+// TestFormsCoverEveryComposition pins the forms helper to the registry:
+// every non-nil constructor of a row yields exactly one form, and every
+// sharded form splits the suite's key range across at least two shards
+// (a partition over a wider default range would put every test key in
+// shard 0 and leave the seams untested).
+func TestFormsCoverEveryComposition(t *testing.T) {
+	const lo, hi = 0, 12
+	for _, im := range Implementations() {
+		want := 1
+		for _, mk := range []bool{im.NewArena != nil, im.NewSharded != nil, im.NewShardedArena != nil} {
+			if mk {
+				want++
+			}
+		}
+		fs := forms(im, lo, hi)
+		if len(fs) != want {
+			t.Errorf("%s: %d forms, want %d (one per non-nil constructor)", im.Name, len(fs), want)
+		}
+		for _, f := range fs {
+			b, ok := f.New().(interface{ Boundaries() []int64 })
+			if sharded := strings.Contains(f.Name, "-sharded"); ok != sharded {
+				t.Errorf("%s: builds a sharded façade = %v, want %v", f.Name, ok, sharded)
+			}
+			if !ok {
+				continue
+			}
+			if bs := b.Boundaries(); len(bs) != testShards || bs[1] >= hi {
+				t.Errorf("%s: boundaries %v do not split [%d, %d) across %d shards", f.Name, bs, lo, hi, testShards)
+			}
+		}
+	}
+}
+
 func TestRegistryLookup(t *testing.T) {
 	for _, im := range Implementations() {
+		// Compositions are forms of a row, never rows: a composite name
+		// would also collide with the forms' subtest names.
+		for _, name := range append([]string{im.Name}, im.Aliases...) {
+			if strings.HasSuffix(name, "-sharded") || strings.HasSuffix(name, "-arena") {
+				t.Errorf("registry name %q names a composition; use the row's constructors", name)
+			}
+		}
 		got, err := Lookup(im.Name)
 		if err != nil {
 			t.Fatalf("Lookup(%q): %v", im.Name, err)
@@ -55,7 +146,7 @@ func TestRegistryLookup(t *testing.T) {
 }
 
 func TestRegistryConstructorsIndependent(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, im Impl) {
+	forEachImpl(t, 0, 8, func(t *testing.T, im Impl) {
 		a, b := im.New(), im.New()
 		a.Insert(7)
 		if b.Contains(7) {
@@ -65,7 +156,7 @@ func TestRegistryConstructorsIndependent(t *testing.T) {
 }
 
 func TestEmptySet(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, im Impl) {
+	forEachImpl(t, 0, 8, func(t *testing.T, im Impl) {
 		s := im.New()
 		if s.Len() != 0 {
 			t.Fatalf("Len() of empty set = %d", s.Len())
@@ -83,7 +174,7 @@ func TestEmptySet(t *testing.T) {
 }
 
 func TestBasicSemantics(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, im Impl) {
+	forEachImpl(t, 0, 8, func(t *testing.T, im Impl) {
 		s := im.New()
 		if !s.Insert(5) {
 			t.Fatal("Insert(5) on empty set = false")
@@ -134,7 +225,7 @@ func TestBasicSemantics(t *testing.T) {
 }
 
 func TestNegativeKeysAndExtremes(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, im Impl) {
+	forEachImpl(t, MinKey, MaxKey, func(t *testing.T, im Impl) {
 		s := im.New()
 		vals := []int64{MinKey, -12345, -1, 0, 1, 12345, MaxKey}
 		for _, v := range vals {
@@ -170,7 +261,7 @@ func TestNegativeKeysAndExtremes(t *testing.T) {
 // TestMapOracle drives each implementation single-threaded against a map
 // with a long random operation sequence.
 func TestMapOracle(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, im Impl) {
+	forEachImpl(t, -64, 64, func(t *testing.T, im Impl) {
 		rng := rand.New(rand.NewSource(42))
 		s := im.New()
 		oracle := map[int64]bool{}
@@ -217,7 +308,7 @@ func TestMapOracle(t *testing.T) {
 // the seams — a key owned by two shards, or by none — surface as
 // semantic failures.
 func TestShardedBoundaryOracle(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, im Impl) {
+	forEachImpl(t, 0, 32, func(t *testing.T, im Impl) {
 		if im.NewSharded == nil {
 			t.Skip("no sharded form")
 		}
@@ -270,7 +361,7 @@ func TestShardedBoundaryOracle(t *testing.T) {
 // TestGrowShrinkCycles fills and drains the set repeatedly, a pattern
 // that exercises unlink-behind-traversal paths.
 func TestGrowShrinkCycles(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, im Impl) {
+	forEachImpl(t, 0, 300, func(t *testing.T, im Impl) {
 		s := im.New()
 		const n = 300
 		for cycle := 0; cycle < 4; cycle++ {

@@ -76,16 +76,19 @@ func ExampleImplementations() {
 	// harris
 	// harris-amr
 	// fomitchev
-	// harris-sharded
 }
 
-func ExampleNewVBLShardedRange() {
+func ExampleImpl_NewSharded() {
 	// Four VBL lists behind the order-preserving range partitioner:
 	// keys in [0, 40) split into spans of 16 (the shard count and span
 	// are rounded to powers of two), and out-of-range keys clamp to
 	// the edge shards. The Set contract is unchanged — Snapshot is
 	// still one ascending sequence.
-	s := listset.NewVBLShardedRange(4, 0, 40)
+	im, err := listset.Lookup("vbl")
+	if err != nil {
+		panic(err)
+	}
+	s := im.NewSharded(4, 0, 40)
 	for _, v := range []int64{33, 2, 17, -8, 99} {
 		s.Insert(v)
 	}

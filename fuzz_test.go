@@ -1,10 +1,9 @@
 package listset
 
 import (
+	"strings"
 	"testing"
 
-	"listset/internal/core"
-	"listset/internal/lazy"
 	"listset/internal/mem"
 )
 
@@ -41,11 +40,13 @@ func seedCorpus(f *testing.F) {
 	f.Add(sweep)
 }
 
-// FuzzSequentialVsOracle runs the program on every implementation and
-// requires the result stream to match the map oracle exactly.
+// FuzzSequentialVsOracle runs the program on every form of every
+// implementation (the sharded forms split the fuzz key domain [0, 32)
+// across 4 shards) and requires the result stream to match the map
+// oracle exactly.
 func FuzzSequentialVsOracle(f *testing.F) {
 	seedCorpus(f)
-	impls := Implementations()
+	impls := allForms(0, 32)
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 4096 {
 			t.Skip()
@@ -93,16 +94,17 @@ func FuzzSequentialVsOracle(f *testing.F) {
 	})
 }
 
-// FuzzShardedVsOracle runs the program on every implementation's
-// sharded form with the partition squeezed onto the fuzz key domain
-// (4 shards over [0, 32), boundaries 8/16/24), so fuzzed op sequences
-// constantly cross shard seams; results must match the map oracle
-// exactly and the snapshot must stay ascending across shards.
+// FuzzShardedVsOracle runs the program on every sharded form at the
+// tightest partition of the fuzz key domain — one key per shard, 32
+// shards over [0, 32) — so every pair of neighbouring keys crosses a
+// seam (FuzzSequentialVsOracle runs the same forms at spans of 8);
+// results must match the map oracle exactly and the snapshot must stay
+// ascending across shards.
 func FuzzShardedVsOracle(f *testing.F) {
 	seedCorpus(f)
 	var shardable []Impl
-	for _, im := range Implementations() {
-		if im.NewSharded != nil {
+	for _, im := range allForms(0, 32) {
+		if strings.Contains(im.Name, "-sharded") {
 			shardable = append(shardable, im)
 		}
 	}
@@ -111,7 +113,7 @@ func FuzzShardedVsOracle(f *testing.F) {
 			t.Skip()
 		}
 		for _, im := range shardable {
-			s := im.NewSharded(4, 0, 32)
+			s := im.NewSharded(32, 0, 32)
 			oracle := map[int64]bool{}
 			for i := 0; i+1 < len(prog); i += 2 {
 				kind, k := decodeOp(prog[i], prog[i+1])
@@ -153,28 +155,33 @@ func FuzzShardedVsOracle(f *testing.F) {
 	})
 }
 
-// FuzzArenaVsOracle runs the program on the arena-backed VBL and Lazy
-// lists with the op stream repeated enough times that retired nodes
-// cross their two-epoch grace period and recycle mid-program — the
-// result stream must keep matching the map oracle through reuse, and
-// the arena's conservation invariant (Recycled <= Retired) must hold
-// at the end.
+// FuzzArenaVsOracle runs the program on every implementation's arena
+// form (NewArena) with the op stream repeated enough times that retired
+// nodes cross their two-epoch grace period and recycle mid-program —
+// the result stream must keep matching the map oracle through reuse,
+// and the arena's conservation invariant (Recycled <= Retired) must
+// hold at the end.
 func FuzzArenaVsOracle(f *testing.F) {
 	seedCorpus(f)
+	var arenas []Impl
+	for _, im := range Implementations() {
+		if im.NewArena != nil {
+			arenas = append(arenas, im)
+		}
+	}
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 1024 {
 			t.Skip()
 		}
-		for _, im := range []struct {
-			name string
-			s    interface {
+		for _, im := range arenas {
+			name := im.Name + "-arena"
+			s, ok := im.NewArena().(interface {
 				Set
 				ArenaStats() (mem.Stats, bool)
+			})
+			if !ok {
+				t.Fatalf("%s: does not report ArenaStats", name)
 			}
-		}{
-			{"vbl-arena", core.NewArena()},
-			{"lazy-arena", lazy.NewArena()},
-		} {
 			oracle := map[int64]bool{}
 			// Repeat the program: the first pass seeds retirements, the
 			// later passes run against recycled nodes.
@@ -184,41 +191,41 @@ func FuzzArenaVsOracle(f *testing.F) {
 					switch kind {
 					case 0:
 						want := !oracle[k]
-						if got := im.s.Insert(k); got != want {
-							t.Fatalf("%s: round %d step %d Insert(%d) = %v, want %v", im.name, round, i/2, k, got, want)
+						if got := s.Insert(k); got != want {
+							t.Fatalf("%s: round %d step %d Insert(%d) = %v, want %v", name, round, i/2, k, got, want)
 						}
 						oracle[k] = true
 					case 1:
 						want := oracle[k]
-						if got := im.s.Remove(k); got != want {
-							t.Fatalf("%s: round %d step %d Remove(%d) = %v, want %v", im.name, round, i/2, k, got, want)
+						if got := s.Remove(k); got != want {
+							t.Fatalf("%s: round %d step %d Remove(%d) = %v, want %v", name, round, i/2, k, got, want)
 						}
 						delete(oracle, k)
 					default:
-						if got := im.s.Contains(k); got != oracle[k] {
-							t.Fatalf("%s: round %d step %d Contains(%d) = %v, want %v", im.name, round, i/2, k, got, oracle[k])
+						if got := s.Contains(k); got != oracle[k] {
+							t.Fatalf("%s: round %d step %d Contains(%d) = %v, want %v", name, round, i/2, k, got, oracle[k])
 						}
 					}
 				}
 			}
-			if im.s.Len() != len(oracle) {
-				t.Fatalf("%s: final Len = %d, want %d", im.name, im.s.Len(), len(oracle))
+			if s.Len() != len(oracle) {
+				t.Fatalf("%s: final Len = %d, want %d", name, s.Len(), len(oracle))
 			}
-			snap := im.s.Snapshot()
+			snap := s.Snapshot()
 			for i, v := range snap {
 				if !oracle[v] {
-					t.Fatalf("%s: Snapshot holds %d which the oracle lacks", im.name, v)
+					t.Fatalf("%s: Snapshot holds %d which the oracle lacks", name, v)
 				}
 				if i > 0 && snap[i-1] >= v {
-					t.Fatalf("%s: Snapshot not strictly ascending: %v", im.name, snap)
+					t.Fatalf("%s: Snapshot not strictly ascending: %v", name, snap)
 				}
 			}
-			st, ok := im.s.ArenaStats()
+			st, ok := s.ArenaStats()
 			if !ok {
-				t.Fatalf("%s: ArenaStats reports no arena", im.name)
+				t.Fatalf("%s: ArenaStats reports no arena", name)
 			}
 			if st.Recycled > st.Retired {
-				t.Fatalf("%s: Recycled %d > Retired %d", im.name, st.Recycled, st.Retired)
+				t.Fatalf("%s: Recycled %d > Retired %d", name, st.Recycled, st.Retired)
 			}
 		}
 	})
@@ -226,10 +233,10 @@ func FuzzArenaVsOracle(f *testing.F) {
 
 // FuzzImplementationsAgree splits the program into two goroutine-bound
 // halves operating on DISJOINT key halves concurrently, then checks all
-// implementations converge to the same final contents.
+// forms of all implementations converge to the same final contents.
 func FuzzImplementationsAgree(f *testing.F) {
 	seedCorpus(f)
-	impls := Implementations()
+	impls := allForms(0, 32)
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 2048 {
 			t.Skip()

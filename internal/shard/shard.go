@@ -66,15 +66,9 @@ type Set interface {
 }
 
 const (
-	// DefaultShards is the shard count used by the convenience
-	// constructors in the root package.
+	// DefaultShards is the shard count tools use when a figure or
+	// workload does not pick one.
 	DefaultShards = 16
-	// DefaultFocus is the default focus range [0, DefaultFocus): the
-	// slice of the key space split evenly across shards when the
-	// caller does not supply one. Synchrobench-style workloads draw
-	// keys from [0, range), so benchmark tools pass their range
-	// explicitly instead.
-	DefaultFocus int64 = 1 << 16
 	// MaxShards bounds the shard count: past a few hundred shards the
 	// per-shard lists are a handful of nodes and the façade's fixed
 	// costs dominate.
@@ -353,20 +347,14 @@ type Sharded struct {
 	backoffs atomic.Pointer[[]*trylock.Backoff]
 }
 
-// New returns a Sharded over the given number of shards (rounded up to
-// a power of two, clamped to [1, MaxShards]) focused on the default
-// key range [0, DefaultFocus). newSet constructs each shard's backing
-// set.
-func New(shards int, newSet func() Set) *Sharded {
-	return NewRange(shards, 0, DefaultFocus, newSet)
-}
-
-// NewRange returns a Sharded whose focus range [lo, hi) is split
-// evenly across the shards: each shard owns a power-of-two span of at
-// least (hi-lo)/S keys. Keys below lo route to shard 0 and keys above
-// the covered prefix to the last shard, so every int64 key is owned by
-// exactly one shard. Panics if hi <= lo or newSet is nil, mirroring
-// the "misuse panics at construction" convention of the root package.
+// NewRange returns a Sharded over the given number of shards (rounded
+// up to a power of two, clamped to [1, MaxShards]) whose focus range
+// [lo, hi) is split evenly across them: each shard owns a power-of-two
+// span of at least (hi-lo)/S keys. Keys below lo route to shard 0 and
+// keys above the covered prefix to the last shard, so every int64 key
+// is owned by exactly one shard. Panics if hi <= lo or newSet is nil,
+// mirroring the "misuse panics at construction" convention of the root
+// package.
 func NewRange(shards int, lo, hi int64, newSet func() Set) *Sharded {
 	if newSet == nil {
 		panic("shard: NewRange called with nil constructor")

@@ -64,8 +64,8 @@ func TestShardCountRounding(t *testing.T) {
 		{16, 16}, {17, 32}, {MaxShards, MaxShards}, {MaxShards + 1, MaxShards},
 	}
 	for _, c := range cases {
-		if got := New(c.in, newSliceSet).Shards(); got != c.want {
-			t.Errorf("New(%d).Shards() = %d, want %d", c.in, got, c.want)
+		if got := NewRange(c.in, 0, 1<<16, newSliceSet).Shards(); got != c.want {
+			t.Errorf("NewRange(%d, ...).Shards() = %d, want %d", c.in, got, c.want)
 		}
 	}
 }
@@ -75,7 +75,7 @@ func TestShardCountRounding(t *testing.T) {
 // mapping is monotone (order-preserving).
 func TestRoutingTotalAndMonotone(t *testing.T) {
 	partitions := []*Sharded{
-		New(16, newSliceSet),
+		NewRange(16, 0, 1<<16, newSliceSet),
 		NewRange(4, 0, 32, newSliceSet),
 		NewRange(8, -1000, 1000, newSliceSet),
 		NewRange(64, 0, 20000, newSliceSet),
@@ -112,7 +112,7 @@ func TestRoutingTotalAndMonotone(t *testing.T) {
 // its shard, and its predecessor key routes strictly below.
 func TestBoundariesMonotone(t *testing.T) {
 	for _, s := range []*Sharded{
-		New(16, newSliceSet),
+		NewRange(16, 0, 1<<16, newSliceSet),
 		NewRange(4, 0, 32, newSliceSet),
 		NewRange(8, -512, 512, newSliceSet),
 		NewRange(16, math.MinInt64+1, math.MaxInt64-1, newSliceSet),
@@ -219,7 +219,7 @@ func TestSlotLayout(t *testing.T) {
 	if sz := unsafe.Sizeof(slot{}); sz%cacheLine != 0 {
 		t.Fatalf("slot size %d is not a multiple of the %d-byte cache line", sz, cacheLine)
 	}
-	s := New(4, newSliceSet)
+	s := NewRange(4, 0, 1<<16, newSliceSet)
 	g := s.gen.Load()
 	for i := 1; i < len(g.slots); i++ {
 		a := uintptr(unsafe.Pointer(&g.slots[i-1]))
@@ -241,7 +241,7 @@ func (p *probeSet) SetProbes(pr *obs.Probes) { p.attached = pr }
 
 func TestSetProbesForwardsToEveryShard(t *testing.T) {
 	var made []*probeSet
-	s := New(8, func() Set {
+	s := NewRange(8, 0, 1<<16, func() Set {
 		p := &probeSet{}
 		made = append(made, p)
 		return p

@@ -53,7 +53,7 @@ func (s *VB) findFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode) 
 		curr := pred.next[l].Load()
 		for curr.val < v {
 			if l > 0 && curr.deleted.Load() {
-				if s.tryUnlinkLevel(g, pred, curr, l) {
+				if !s.indexFault(curr.val) && s.tryUnlinkLevel(g, pred, curr, l) {
 					curr = pred.next[l].Load()
 				} else {
 					curr = curr.next[l].Load() // route through, don't adopt
@@ -99,7 +99,7 @@ func (s *VB) InsertAll(keys []int64) int {
 				fp.Do(failpoint.SiteSkipTraverse, v)
 			}
 			preds, succs := s.findFrom(g, v, &fingers)
-			if succs[0].val == v {
+			if succs[0].val == v && !succs[0].deleted.Load() { // see Insert
 				if n != nil && g.Active() {
 					g.FreeClass(n, towerClass(h)) // never published
 				}
@@ -340,6 +340,10 @@ func (s *VB) Load(keys []int64) int {
 		n.setLinked(0)
 		preds[0].next[0].Store(n)
 		for l := 1; l < h; l++ {
+			if !s.linkedAt(preds[l], l) {
+				n.next[l].Store(s.tail) // park, as linkIndex does on giving up
+				continue
+			}
 			n.setLinked(l)
 			preds[l].next[l].Store(n)
 		}

@@ -256,7 +256,7 @@ func (s *Lazy) Insert(v int64) bool {
 			p.Inc(obs.EvNodeAlloc, v)
 			p.Inc(obs.EvSkipTowerHeight, int64(h))
 		}
-		//lint:ignore hotalloc the insert path must materialize the new tower; the Lazy skip list has no arena mode (vbskip-arena is the reclaiming variant)
+		//lint:ignore hotalloc the insert path must materialize the new tower; the Lazy skip list has no arena mode (the VB skip list's arena mode is the reclaiming variant)
 		n := &lazyNode{val: v, height: h}
 		for l := 0; l < h; l++ {
 			n.next[l].Store(succs[l])

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"listset/internal/failpoint"
+	"listset/internal/trylock"
 )
 
 // Property tests for the skip lists' probabilistic and reclamation
@@ -242,5 +243,149 @@ func TestGivenUpIndexLevelsParkOnTail(t *testing.T) {
 	}
 	if tall == 0 {
 		t.Fatal("no tower drew height > 1 in 512 inserts; the invariant was never exercised")
+	}
+}
+
+// fireCounter is a failpoint.Sink counting fired arms.
+type fireCounter struct{ fired int }
+
+func (c *fireCounter) FailpointFired(failpoint.Site, failpoint.Action, int64) { c.fired++ }
+func (c *fireCounter) FailpointReleased(failpoint.Site, int64)                {}
+
+// TestSweepCollectsMaxKeyOrphan pins orphan collection at the top key:
+// find(v) only unlinks deleted towers on its way to a larger key, so a
+// remover's sweep that gave a level up would leave the maximum key's
+// tower linked for good — and, with an arena, never retired. The index
+// link site is forced to fail on half of the sweep's hits for that key;
+// the sweep must retry through the injected failures until the tower
+// is unlinked from every level, then retire it. Under a probability-1
+// arm the sweep must still terminate.
+func TestSweepCollectsMaxKeyOrphan(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		s     *VB
+		p     float64
+		clean bool
+	}{
+		{"gc", NewVB(), 0.5, true},
+		{"arena", NewVBArena(), 0.5, true},
+		{"arena/always-fail", NewVBArena(), 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.s
+			for v := int64(0); v < 256; v++ {
+				s.Insert(v)
+			}
+			// Make the last tall tower the maximum key.
+			var top *vbNode
+			for curr := s.head.next[0].Load(); curr != s.tail; curr = curr.next[0].Load() {
+				if curr.height > 1 {
+					top = curr
+				}
+			}
+			if top == nil {
+				t.Fatal("no tower drew height > 1 in 256 inserts")
+			}
+			for v := top.val + 1; v < 256; v++ {
+				s.Remove(v)
+			}
+			if got, want := top.linked.Load(), uint32(1)<<uint(top.height)-1; got != want {
+				t.Fatalf("tower %d linked mask = %b before removal, want %b", top.val, got, want)
+			}
+			fps := failpoint.NewSet()
+			var fires fireCounter
+			fps.SetSink(&fires)
+			if err := fps.Arm(failpoint.Scenario{
+				Site:        failpoint.SiteSkipIndexLink,
+				Action:      failpoint.ActFail,
+				Probability: tc.p,
+				Keys:        []int64{top.val},
+				Seed:        3,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			s.SetFailpoints(fps)
+			if !s.Remove(top.val) {
+				t.Fatalf("Remove(%d) = false", top.val)
+			}
+			if fires.fired == 0 {
+				t.Fatal("the index link failpoint never fired; the sweep's retry path went unexercised")
+			}
+			if !tc.clean {
+				return // termination was the point
+			}
+			if got := top.linked.Load(); got != 0 {
+				t.Fatalf("removed tower %d still linked at levels %b", top.val, got)
+			}
+			for l := 1; l < maxLevel; l++ {
+				for curr := s.head.next[l].Load(); curr != s.tail; curr = curr.next[l].Load() {
+					if curr == top {
+						t.Fatalf("removed tower %d reachable at level %d", top.val, l)
+					}
+				}
+			}
+			if s.arena != nil && !top.retired.Load() {
+				t.Fatalf("removed tower %d unlinked everywhere but never retired", top.val)
+			}
+		})
+	}
+}
+
+// TestInsertWaitsOutInFlightRemove pins the linearization point readers
+// and writers share: a remover marks its tower deleted and only then
+// stores the level-0 unlink, and Contains already reports v absent in
+// between. An insert landing in that window must not report v present
+// (contains-false then insert-false with no insert between is not
+// linearizable); it must wait for the removal to finish and then
+// insert. The window is frozen by holding the remover's two locks; the
+// try-lock acquisition site shows the insert reached the pred lock
+// instead of answering early.
+func TestInsertWaitsOutInFlightRemove(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		insert func(s *VB, v int64) bool
+	}{
+		{"Insert", func(s *VB, v int64) bool { return s.Insert(v) }},
+		{"InsertAll", func(s *VB, v int64) bool { return s.InsertAll([]int64{v}) == 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewVB()
+			s.Insert(5)
+			d := s.head.next[0].Load()
+			// A remover inside its critical section: both locks held,
+			// the tower marked, the level-0 unlink not yet stored.
+			s.head.lock.Lock()
+			d.lock.Lock()
+			d.deleted.Store(true)
+			if s.Contains(5) {
+				t.Fatal("Contains(5) = true for a tower marked deleted")
+			}
+			fps := failpoint.NewSet()
+			pause, err := fps.PauseAt(failpoint.SiteTryLockAcquire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trylock.SetChaos(fps)
+			defer trylock.SetChaos(nil)
+			res := make(chan bool, 1)
+			go func() { res <- tc.insert(s, 5) }()
+			select {
+			case got := <-res:
+				t.Fatalf("insert of 5 = %v during 5's removal, after Contains(5) = false; want it to wait for the removal", got)
+			case <-pause.Reached():
+			}
+			// Finish the removal as Remove does, then let the insert run.
+			s.head.next[0].Store(d.next[0].Load())
+			d.clearLinked(0)
+			d.lock.Unlock()
+			s.head.lock.Unlock()
+			pause.Resume()
+			if !<-res {
+				t.Fatal("insert of 5 = false after the removal completed")
+			}
+			if !s.Contains(5) {
+				t.Fatal("Contains(5) = false after the insert")
+			}
+		})
 	}
 }

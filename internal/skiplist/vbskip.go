@@ -229,7 +229,7 @@ func NewVBLevels(levels int) *VB { return newVB(levels, nil) }
 
 // NewVBArena returns a value-aware skip list whose towers live in a
 // height-classed slab arena with epoch-based reclamation. Reuse is safe
-// for the same reason as the flat vbl-arena — the protocol is
+// for the same reason as the flat VBL arena — the protocol is
 // lock-based and the per-operation epoch pin keeps every node an
 // operation discovered alive (and its val immutable) until the
 // operation unpins — see DESIGN.md §15.
@@ -383,7 +383,7 @@ func (s *VB) find(g mem.Guard[vbNode], v int64) (preds, succs [maxLevel]*vbNode)
 		curr := pred.next[l].Load()
 		for curr.val < v {
 			if l > 0 && curr.deleted.Load() {
-				if s.tryUnlinkLevel(g, pred, curr, l) {
+				if !s.indexFault(curr.val) && s.tryUnlinkLevel(g, pred, curr, l) {
 					curr = pred.next[l].Load()
 				} else {
 					curr = curr.next[l].Load() // route through, don't adopt
@@ -398,16 +398,28 @@ func (s *VB) find(g mem.Guard[vbNode], v int64) (preds, succs [maxLevel]*vbNode)
 	return preds, succs
 }
 
+// indexFault reports whether an armed SiteSkipIndexLink failure fires
+// for v: the injected counterpart of a lost index-level try-lock race.
+func (s *VB) indexFault(v int64) bool {
+	fp := s.fps
+	return failpoint.On(fp) && fp.Fail(failpoint.SiteSkipIndexLink, v)
+}
+
+// linkedAt reports whether n is published at index level l: the head
+// always is, a tower once its level-l linked bit is set. A live tower
+// reached on a higher level may have given level l up (parked on
+// tail), and a tower linked behind it would be unreachable from the
+// head at level l — no sweep could find it again. Index links and
+// sweeps therefore only anchor on preds that pass this check.
+func (s *VB) linkedAt(n *vbNode, l int) bool {
+	return n == s.head || n.linked.Load()&(1<<uint(l)) != 0
+}
+
 // tryUnlinkLevel detaches the deleted tower curr from level l if pred's
-// lock is immediately available and the window still holds. An injected
-// SiteSkipIndexLink failure abandons the attempt like a lost try-lock
-// race.
+// lock is immediately available and the window still holds. Callers
+// check indexFault(curr.val) first: an injected failure abandons the
+// attempt like a lost try-lock race.
 func (s *VB) tryUnlinkLevel(g mem.Guard[vbNode], pred, curr *vbNode, l int) bool {
-	if fp := s.fps; failpoint.On(fp) {
-		if fp.Fail(failpoint.SiteSkipIndexLink, curr.val) {
-			return false
-		}
-	}
 	if pred.deleted.Load() || pred.next[l].Load() != curr {
 		return false
 	}
@@ -488,7 +500,11 @@ func (s *VB) Insert(v int64) bool {
 			fp.Do(failpoint.SiteSkipTraverse, v)
 		}
 		preds, succs = s.find(g, v)
-		if succs[0].val == v {
+		// A tower for v that is marked but still linked at level 0 is a
+		// removal in flight: readers linearize the remove at the mark,
+		// so v is already absent. The link attempt below then waits on
+		// the remover's pred lock and fails validation after its unlink.
+		if succs[0].val == v && !succs[0].deleted.Load() {
 			if n != nil && g.Active() {
 				g.FreeClass(n, towerClass(h)) // never published: no grace period needed
 			}
@@ -543,11 +559,7 @@ index:
 				break index
 			}
 			n.next[l].Store(succs[l])
-			injected := false
-			if fp := s.fps; failpoint.On(fp) {
-				injected = fp.Fail(failpoint.SiteSkipIndexLink, v)
-			}
-			if !injected && preds[l].lockNextAt(l, succs[l], s.probes, s.backoff) {
+			if !s.indexFault(v) && s.linkedAt(preds[l], l) && preds[l].lockNextAt(l, succs[l], s.probes, s.backoff) {
 				n.setLinked(l)
 				preds[l].next[l].Store(n)
 				preds[l].lock.Unlock()
@@ -666,57 +678,68 @@ func (s *VB) Remove(v int64) bool {
 	}
 }
 
+// maxSweepFaults bounds how many injected SiteSkipIndexLink failures
+// one sweep absorbs per level before abandoning it, so a
+// probability-1 scenario still terminates.
+const maxSweepFaults = 32
+
 // sweep detaches a deleted tower from every index level, one
 // single-node lock at a time (never holding two locks, so no deadlock).
-// An injected SiteSkipIndexLink failure abandons the level — membership
-// is unaffected, the orphan is collected by later traversals.
+// A level is retried, with backoff between attempts, for as long as the
+// tower's linked bit says it is still published there: nothing else is
+// bound to collect it — find(v) only unlinks deleted towers on its way
+// to a larger key, so an orphan at the top key of a list or shard would
+// stay linked, and in arena mode unretired, for good. Lost races are
+// transient (lock holders never block, and a deleted pred is never
+// adopted), so only injected failures bound the retries.
 func (s *VB) sweep(g mem.Guard[vbNode], n *vbNode) {
 	for l := n.height - 1; l >= 1; l-- {
-		for {
-			pred, linked := s.findPredAtLevel(g, n, l)
-			if !linked {
-				break // not (or no longer) linked at this level
-			}
-			if fp := s.fps; failpoint.On(fp) {
-				if fp.Fail(failpoint.SiteSkipIndexLink, n.val) {
+		faults := 0
+		for round := 0; s.linkedAt(n, l); round++ {
+			pred, fault := s.findPredAtLevel(g, n, l)
+			if pred != nil {
+				fault = s.indexFault(n.val)
+				if !fault && pred.lockNextAt(l, n, s.probes, s.backoff) {
+					pred.next[l].Store(n.next[l].Load())
+					pred.lock.Unlock()
+					n.clearLinked(l)
+					if p := s.probes; obs.On(p) {
+						p.Inc(obs.EvSkipIndexUnlink, n.val)
+					}
 					break
 				}
 			}
-			if pred.lockNextAt(l, n, s.probes, s.backoff) {
-				pred.next[l].Store(n.next[l].Load())
-				pred.lock.Unlock()
-				n.clearLinked(l)
-				if p := s.probes; obs.On(p) {
-					p.Inc(obs.EvSkipIndexUnlink, n.val)
+			if fault {
+				if faults++; faults == maxSweepFaults {
+					break // leave the orphan to the injected fault
 				}
-				break
 			}
-			// Window moved or pred deleted; re-locate and retry.
+			s.backoff.Pause(round)
 		}
 	}
 }
 
 // findPredAtLevel locates the node whose level-l successor is exactly
-// n, descending the index from the top (O(log n), not a level scan);
-// it reports false if n is not linked at level l. A deleted tower on
-// the walk is never adopted as pred — its lock can never be taken, so
-// a sweep that adopted it would spin forever once it is the last
-// active thread (the shard façade's pending-writer freeze-out makes
-// that state reachable). Instead the walk helps detach it, and when
-// the help fails (lost try-lock race, injected failure) it reports
-// false: sweep abandons the level and traversals' opportunistic
-// unlinking collects the orphan.
-func (s *VB) findPredAtLevel(g mem.Guard[vbNode], n *vbNode, l int) (*vbNode, bool) {
-	pred := s.head
+// n, descending the index from the top (O(log n), not a level scan).
+// The descent adopts only live towers linked at level l (linkedAt), so
+// the level-l walk starts on the level-l list. A deleted tower is never
+// adopted as pred — its lock can never be taken, so a sweep that
+// adopted it would spin forever once it is the last active thread (the
+// shard façade's pending-writer freeze-out makes that state
+// reachable). Instead the level-l walk helps detach it. pred is nil
+// when n is not reachable at level l right now: it was unlinked, its
+// link is still being published, or the help lost a try-lock race —
+// fault reports that an injected failure caused it.
+func (s *VB) findPredAtLevel(g mem.Guard[vbNode], n *vbNode, l int) (pred *vbNode, fault bool) {
+	pred = s.head
 	for lev := s.levels - 1; lev > l; lev-- {
 		curr := pred.next[lev].Load()
 		for curr.val < n.val {
-			if curr.deleted.Load() {
+			if curr.deleted.Load() || !s.linkedAt(curr, l) {
 				// Route through without adopting: a deleted pred handed
 				// down to the level-l walk would be returned with its
-				// lock forever untakeable, and sweep's retry loop would
-				// spin on it (fatal when sweep is the only runnable
-				// thread — see the level-l rule below).
+				// lock forever untakeable, and one that gave level l up
+				// does not lead to n at all.
 				curr = curr.next[lev].Load()
 				continue
 			}
@@ -727,7 +750,7 @@ func (s *VB) findPredAtLevel(g mem.Guard[vbNode], n *vbNode, l int) (*vbNode, bo
 	for {
 		curr := pred.next[l].Load()
 		if curr == n {
-			return pred, true
+			return pred, false
 		}
 		// Equal values can coexist transiently (deleted tower + fresh
 		// insert), so walk past non-identical equal values too.
@@ -735,6 +758,9 @@ func (s *VB) findPredAtLevel(g mem.Guard[vbNode], n *vbNode, l int) (*vbNode, bo
 			return nil, false
 		}
 		if curr.deleted.Load() {
+			if s.indexFault(curr.val) {
+				return nil, true
+			}
 			if !s.tryUnlinkLevel(g, pred, curr, l) {
 				return nil, false
 			}

@@ -117,6 +117,26 @@ func (b *Backoff) Ceiling() int32 {
 	return max
 }
 
+// Pause waits out round r of a retry loop that is not a lock
+// acquisition (a competitor must finish first): it spins the policy's
+// minimum budget doubled r times and, once that reaches the ceiling,
+// yields to the scheduler instead — at once on a uniprocessor, where
+// the competitor cannot run while we spin.
+func (b *Backoff) Pause(r int) {
+	min, max := b.bounds()
+	if uniprocessor || r >= 31 || int64(min)<<uint(r) >= int64(max) {
+		runtime.Gosched()
+		return
+	}
+	for i := min << uint(r); i > 0; i-- {
+		pauseSink.Load()
+	}
+}
+
+// pauseSink is the read-only word Pause's spin loads, so the loop has
+// a body the compiler keeps without touching a contended cache line.
+var pauseSink atomic.Int32
+
 // SetCeiling sets the spin ceiling, clamped to [DefaultMinSpin,
 // CeilingLimit]. Safe to call concurrently with lock operations; a
 // waiter mid-backoff picks the new ceiling up on its next round.

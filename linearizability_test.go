@@ -2,6 +2,7 @@ package listset
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 // thread-safe implementation and verifies them with the Wing-Gong
 // checker — the executable counterpart of the paper's Theorem 1.
 func TestLinearizability(t *testing.T) {
-	forEachConcurrentImpl(t, func(t *testing.T, im Impl) {
+	forEachConcurrentImpl(t, 0, 12, func(t *testing.T, im Impl) {
 		for trial := 0; trial < 3; trial++ {
 			runLinearizabilityTrial(t, im, int64(trial))
 		}
@@ -62,23 +63,22 @@ func runLinearizabilityTrial(t *testing.T, im Impl, trial int64) {
 }
 
 // TestLinearizabilitySharded records concurrent executions against
-// sharded façades whose partition is squeezed into the trial's 12-key
-// range (4 shards over [0, 12), spans of 4), so operations race on
-// both sides of every shard seam. The registry's *-sharded entries are
-// already checked by TestLinearizability, but with their wide default
-// focus range all 12 keys fall in one shard; this pins the composition
-// argument (DESIGN.md §8) where it actually bites.
+// every sharded form at the tightest partition of the trial's 12-key
+// range: one key per shard (16 shards over [0, 12)), so every pair of
+// neighbouring keys sits on two sides of a seam. TestLinearizability
+// already runs these forms at spans of 4; this pins the composition
+// argument (DESIGN.md §8) where it bites hardest.
 func TestLinearizabilitySharded(t *testing.T) {
-	shardedImpls := []Impl{
-		{Name: "vbl-sharded-tight", New: func() Set { return NewVBLShardedRange(4, 0, 12) }},
-		{Name: "lazy-sharded-tight", New: func() Set { return NewLazyShardedRange(4, 0, 12) }},
-		{Name: "harris-sharded-tight", New: func() Set { return NewHarrisShardedRange(4, 0, 12) }},
-	}
-	for _, im := range shardedImpls {
-		im := im
-		t.Run(im.Name, func(t *testing.T) {
+	const tightShards = 16
+	for _, f := range allForms(0, 12) {
+		if !f.ThreadSafe || !strings.Contains(f.Name, "-sharded") {
+			continue
+		}
+		f, mk := f, f.NewSharded
+		f.New = func() Set { return mk(tightShards, 0, 12) }
+		t.Run(f.Name+"-tight", func(t *testing.T) {
 			for trial := 0; trial < 3; trial++ {
-				runLinearizabilityTrial(t, im, int64(trial))
+				runLinearizabilityTrial(t, f, int64(trial))
 			}
 		})
 	}
@@ -88,7 +88,7 @@ func TestLinearizabilitySharded(t *testing.T) {
 // every operation contends — the regime in which validation bugs (lost
 // updates, phantom members) would surface.
 func TestLinearizabilityHighContention(t *testing.T) {
-	forEachConcurrentImpl(t, func(t *testing.T, im Impl) {
+	forEachConcurrentImpl(t, 0, 3, func(t *testing.T, im Impl) {
 		s := im.New()
 		rec := lincheck.NewRecorder()
 		const goroutines = 8
@@ -125,7 +125,7 @@ func TestLinearizabilityHighContention(t *testing.T) {
 // TestLinearizabilityUpdateOnly removes the read smokescreen: inserts
 // and removes only, over two keys, where every anomaly is structural.
 func TestLinearizabilityUpdateOnly(t *testing.T) {
-	forEachConcurrentImpl(t, func(t *testing.T, im Impl) {
+	forEachConcurrentImpl(t, 0, 2, func(t *testing.T, im Impl) {
 		s := im.New()
 		rec := lincheck.NewRecorder()
 		const goroutines = 8

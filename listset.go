@@ -25,6 +25,11 @@
 // Every constructor returns a Set that is safe for concurrent use by any
 // number of goroutines (except NewSequential, which is the single-thread
 // reference implementation of the paper's Algorithm 1).
+//
+// Arena-backed and range-sharded compositions are built through the
+// registry: Lookup(name) returns the implementation's row, whose
+// NewArena, NewSharded and NewShardedArena constructors build them
+// where the composition exists.
 package listset
 
 import (
@@ -38,7 +43,6 @@ import (
 	"listset/internal/lazy"
 	"listset/internal/optimistic"
 	"listset/internal/seqlist"
-	"listset/internal/shard"
 	"listset/internal/skiplist"
 )
 
@@ -93,23 +97,11 @@ func NewVBLNoPreValidation() Set { return core.NewVariant(core.WithoutPreValidat
 // node locks instead of the CAS spin try-lock.
 func NewVBLMutex() Set { return core.NewMutex() }
 
-// NewVBLArena returns VBL with arena-backed node lifetimes
-// (internal/mem): inserts draw nodes from slab-backed per-worker free
-// lists, removed nodes recycle after an epoch-based grace period, and
-// the steady-state allocation rate drops to near zero. Semantics are
-// identical to NewVBL.
-func NewVBLArena() Set { return core.NewArena() }
-
 // NewLazy returns the Lazy Linked List baseline (Heller et al., OPODIS
 // 2006): wait-free traversals, but updates lock the window before
 // validating — the post-locking validation the paper proves concurrency
 // sub-optimal (Figure 2).
 func NewLazy() Set { return lazy.New() }
-
-// NewLazyArena returns the Lazy list with arena-backed node lifetimes
-// (internal/mem), the allocation-rate counterpart of NewVBLArena for
-// the lock-based baseline.
-func NewLazyArena() Set { return lazy.NewArena() }
 
 // NewHarrisAMR returns the lock-free Harris-Michael list built on an
 // AtomicMarkableReference equivalent: each (next, marked) pair is an
@@ -145,13 +137,6 @@ func NewVBSkip() Set { return skiplist.NewVB() }
 // predecessor levels before deciding anything.
 func NewLazySkip() Set { return skiplist.NewLazy() }
 
-// NewVBSkipArena returns the value-aware skip list with arena-backed
-// tower lifetimes: towers are drawn from height-classed slabs
-// (internal/mem) and recycled after the epoch-based grace period once
-// provably unreachable at every level. Semantics are identical to
-// NewVBSkip; see DESIGN.md §15 for the reclamation argument.
-func NewVBSkipArena() Set { return skiplist.NewVBArena() }
-
 // NewCoarse returns the sequential list behind one global mutex — the
 // scalability floor.
 func NewCoarse() Set { return coarse.New() }
@@ -164,101 +149,3 @@ func NewHOH() Set { return hoh.New() }
 // sorted linked list LL. It is NOT safe for concurrent use; it exists as
 // the semantic reference and single-thread baseline.
 func NewSequential() Set { return seqlist.New() }
-
-// DefaultShards is the shard count the convenience sharded
-// constructors use, re-exported from internal/shard for tools.
-const DefaultShards = shard.DefaultShards
-
-// NewVBLSharded returns shards independent VBL lists behind the
-// order-preserving range partitioner of internal/shard: each key is
-// owned by exactly one shard, so traversals walk O(n/S) nodes and
-// contended try-locks spread across S separate head regions, while the
-// Set contract is preserved end to end (Snapshot stays ascending, Len
-// sums, per-shard contention events aggregate into one probe set).
-// The shard count is rounded up to a power of two; the partition
-// splits the default focus range [0, 65536) evenly, with out-of-range
-// keys clamping to the edge shards. Workloads over a different key
-// range should use NewVBLShardedRange so the partition fits their
-// keys.
-func NewVBLSharded(shards int) Set {
-	return shard.New(shards, func() shard.Set { return core.New() })
-}
-
-// NewVBLShardedRange is NewVBLSharded with the focus range [lo, hi)
-// the partitioner splits evenly across shards. Keys outside [lo, hi)
-// remain valid; they route to the first or last shard.
-func NewVBLShardedRange(shards int, lo, hi int64) Set {
-	return shard.NewRange(shards, lo, hi, func() shard.Set { return core.New() })
-}
-
-// NewVBLShardedArenaRange is NewVBLShardedRange with arena-backed node
-// lifetimes: each shard owns a private arena (allocation stays
-// shard-local, like the lists' own hot fields), so the façade's
-// contention isolation extends to the memory layer.
-func NewVBLShardedArenaRange(shards int, lo, hi int64) Set {
-	return shard.NewRange(shards, lo, hi, func() shard.Set { return core.NewArena() })
-}
-
-// NewLazySharded returns the Lazy list behind the same sharded façade,
-// so the partitioner's effect can be priced on the paper's lock-based
-// baseline under identical routing.
-func NewLazySharded(shards int) Set {
-	return shard.New(shards, func() shard.Set { return lazy.New() })
-}
-
-// NewLazyShardedRange is NewLazySharded with an explicit focus range.
-func NewLazyShardedRange(shards int, lo, hi int64) Set {
-	return shard.NewRange(shards, lo, hi, func() shard.Set { return lazy.New() })
-}
-
-// NewLazyShardedArenaRange is NewLazyShardedRange with a private arena
-// per shard, mirroring NewVBLShardedArenaRange.
-func NewLazyShardedArenaRange(shards int, lo, hi int64) Set {
-	return shard.NewRange(shards, lo, hi, func() shard.Set { return lazy.NewArena() })
-}
-
-// NewHarrisSharded returns the lock-free Harris-Michael marker list
-// behind the sharded façade. The façade adds no locks, so the
-// composition remains lock-free.
-func NewHarrisSharded(shards int) Set {
-	return shard.New(shards, func() shard.Set { return harris.NewMarker() })
-}
-
-// NewHarrisShardedRange is NewHarrisSharded with an explicit focus range.
-func NewHarrisShardedRange(shards int, lo, hi int64) Set {
-	return shard.NewRange(shards, lo, hi, func() shard.Set { return harris.NewMarker() })
-}
-
-// NewVBSkipSharded returns the value-aware skip list behind the range
-// partitioner: S independent log-time indexes, each over 1/S of the
-// focus range — the composition the ROADMAP's large-range milestone
-// calls for, since both the traversal length AND the index height
-// shrink with the per-shard key count.
-func NewVBSkipSharded(shards int) Set {
-	return shard.New(shards, func() shard.Set { return skiplist.NewVB() })
-}
-
-// NewVBSkipShardedRange is NewVBSkipSharded with the focus range
-// [lo, hi) the partitioner splits evenly across shards.
-func NewVBSkipShardedRange(shards int, lo, hi int64) Set {
-	return shard.NewRange(shards, lo, hi, func() shard.Set { return skiplist.NewVB() })
-}
-
-// NewVBSkipShardedArenaRange is NewVBSkipShardedRange with a private
-// height-classed tower arena per shard.
-func NewVBSkipShardedArenaRange(shards int, lo, hi int64) Set {
-	return shard.NewRange(shards, lo, hi, func() shard.Set { return skiplist.NewVBArena() })
-}
-
-// NewLazySkipSharded returns the Lazy skip list behind the range
-// partitioner, so the sharding effect can be priced on the lock-based
-// skip baseline under identical routing.
-func NewLazySkipSharded(shards int) Set {
-	return shard.New(shards, func() shard.Set { return skiplist.NewLazy() })
-}
-
-// NewLazySkipShardedRange is NewLazySkipSharded with an explicit focus
-// range.
-func NewLazySkipShardedRange(shards int, lo, hi int64) Set {
-	return shard.NewRange(shards, lo, hi, func() shard.Set { return skiplist.NewLazy() })
-}

@@ -4,10 +4,21 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"listset/internal/core"
+	"listset/internal/harris"
+	"listset/internal/lazy"
+	"listset/internal/shard"
+	"listset/internal/skiplist"
 )
 
-// Impl describes one registered set implementation, for use by the
-// benchmark harness, the CLI tools and cross-implementation tests.
+// Impl describes one registered set implementation — one row per
+// algorithm or ablation — for use by the benchmark harness, the CLI
+// tools and cross-implementation tests. The arena-backed and sharded
+// compositions are not rows of their own: they are the row's NewArena,
+// NewSharded and NewShardedArena constructors. Which optional surfaces
+// (Batcher, Ranger, Loader) a built set serves natively is answered by
+// a type assertion on the set itself.
 type Impl struct {
 	// Name is the canonical identifier accepted by the tools' -impl flag.
 	Name string
@@ -18,8 +29,8 @@ type Impl struct {
 	// NewSharded, when non-nil, constructs the implementation behind
 	// the order-preserving range partitioner of internal/shard: shards
 	// independent lists splitting the focus range [lo, hi) evenly, with
-	// out-of-range keys clamping to the edge shards. Tools pass the
-	// workload's key range as [lo, hi) so traversals walk O(n/S) nodes.
+	// out-of-range keys clamping to the edge shards, so traversals walk
+	// O(n/S) nodes. Callers pass their key range as [lo, hi).
 	NewSharded func(shards int, lo, hi int64) Set
 	// NewArena, when non-nil, constructs the implementation with
 	// arena-backed node lifetimes (internal/mem): slab allocation,
@@ -28,27 +39,25 @@ type Impl struct {
 	// identity CAS makes node reuse an ABA hazard).
 	NewArena func() Set
 	// NewShardedArena combines NewSharded and NewArena: one private
-	// arena per shard. Non-nil only when both modes exist.
+	// arena per shard, so allocation stays shard-local. Non-nil only
+	// when both modes exist.
 	NewShardedArena func(shards int, lo, hi int64) Set
 	// ThreadSafe reports whether the implementation may be used from
 	// multiple goroutines. Only the sequential reference list is not.
 	ThreadSafe bool
 	// LockFree reports whether the implementation is lock-free (the
-	// progress condition, not merely "uses no sync.Mutex").
+	// progress condition, not merely "uses no sync.Mutex"). The sharded
+	// façade adds no locks, so it preserves the property.
 	LockFree bool
-	// Batch reports whether New's sets implement Batcher natively (the
-	// amortized one-pass multi-window traversal). Implementations
-	// without the flag still serve batches through AsBatcher's per-key
-	// fallback.
-	Batch bool
-	// Scan reports whether New's sets implement Ranger natively
-	// (wait-free RangeScan/Ascend on the ordered traversal).
-	Scan bool
-	// BulkLoad reports whether New's sets implement Loader natively
-	// (O(n+k) merge-walk population).
-	BulkLoad bool
 	// Desc is a one-line human description used in tool output.
 	Desc string
+}
+
+// sharded builds a row's NewSharded or NewShardedArena constructor from
+// the per-shard constructor mk: the one place a composition is spelled
+// out.
+func sharded(mk func() shard.Set) func(shards int, lo, hi int64) Set {
+	return func(shards int, lo, hi int64) Set { return shard.NewRange(shards, lo, hi, mk) }
 }
 
 // impls is the registry, in the order used by reports.
@@ -56,36 +65,27 @@ var impls = []Impl{
 	{
 		Name:            "vbl",
 		New:             NewVBL,
-		NewSharded:      NewVBLShardedRange,
-		NewArena:        NewVBLArena,
-		NewShardedArena: NewVBLShardedArenaRange,
+		NewSharded:      sharded(func() shard.Set { return core.New() }),
+		NewArena:        func() Set { return core.NewArena() },
+		NewShardedArena: sharded(func() shard.Set { return core.NewArena() }),
 		ThreadSafe:      true,
-		Batch:           true,
-		Scan:            true,
-		BulkLoad:        true,
 		Desc:            "VBL — concurrency-optimal value-based list (this paper)",
 	},
 	{
 		Name:            "lazy",
 		New:             NewLazy,
-		NewSharded:      NewLazyShardedRange,
-		NewArena:        NewLazyArena,
-		NewShardedArena: NewLazyShardedArenaRange,
+		NewSharded:      sharded(func() shard.Set { return lazy.New() }),
+		NewArena:        func() Set { return lazy.NewArena() },
+		NewShardedArena: sharded(func() shard.Set { return lazy.NewArena() }),
 		ThreadSafe:      true,
-		Batch:           true,
-		Scan:            true,
-		BulkLoad:        true,
 		Desc:            "Lazy Linked List (Heller et al. 2006)",
 	},
 	{
 		Name:       "harris",
 		Aliases:    []string{"harris-marker", "harris-rtti"},
 		New:        NewHarrisMarker,
-		NewSharded: NewHarrisShardedRange,
+		NewSharded: sharded(func() shard.Set { return harris.NewMarker() }),
 		ThreadSafe: true,
-		Batch:      true,
-		Scan:       true,
-		BulkLoad:   true,
 		LockFree:   true,
 		Desc:       "Harris-Michael, RTTI-style marker nodes (paper's optimized Java variant)",
 	},
@@ -134,42 +134,30 @@ var impls = []Impl{
 		Name:            "vbskip",
 		Aliases:         []string{"skiplist", "vb-skiplist"},
 		New:             NewVBSkip,
-		NewSharded:      NewVBSkipShardedRange,
-		NewArena:        NewVBSkipArena,
-		NewShardedArena: NewVBSkipShardedArenaRange,
+		NewSharded:      sharded(func() shard.Set { return skiplist.NewVB() }),
+		NewArena:        func() Set { return skiplist.NewVBArena() },
+		NewShardedArena: sharded(func() shard.Set { return skiplist.NewVBArena() }),
 		ThreadSafe:      true,
-		Batch:           true,
-		Scan:            true,
-		BulkLoad:        true,
 		Desc:            "value-aware skip list — §5 conjecture: VBL as the membership level",
 	},
 	{
 		Name:       "lazyskip",
 		Aliases:    []string{"lazy-skiplist"},
 		New:        NewLazySkip,
-		NewSharded: NewLazySkipShardedRange,
+		NewSharded: sharded(func() shard.Set { return skiplist.NewLazy() }),
 		ThreadSafe: true,
-		Batch:      true,
-		Scan:       true,
-		BulkLoad:   true,
 		Desc:       "LazySkipList (Herlihy & Shavit ch. 14.3) — lock-all-preds baseline",
 	},
 	{
 		Name:       "vbl-headrestart",
 		New:        NewVBLHeadRestart,
 		ThreadSafe: true,
-		Batch:      true,
-		Scan:       true,
-		BulkLoad:   true,
 		Desc:       "ablation: VBL restarting failed validations from head",
 	},
 	{
 		Name:       "vbl-noprevalidate",
 		New:        NewVBLNoPreValidation,
 		ThreadSafe: true,
-		Batch:      true,
-		Scan:       true,
-		BulkLoad:   true,
 		Desc:       "ablation: VBL locking before validating (no lock-free pre-check)",
 	},
 	{
@@ -177,96 +165,6 @@ var impls = []Impl{
 		New:        NewVBLMutex,
 		ThreadSafe: true,
 		Desc:       "ablation: VBL with sync.Mutex node locks instead of the CAS try-lock",
-	},
-	{
-		Name:       "vbl-arena",
-		Aliases:    []string{"arena"},
-		New:        NewVBLArena,
-		NewSharded: NewVBLShardedArenaRange,
-		NewArena:   NewVBLArena,
-		ThreadSafe: true,
-		Batch:      true,
-		Scan:       true,
-		BulkLoad:   true,
-		Desc:       "VBL with slab arenas and epoch-based node recycling (near-zero allocs/op)",
-	},
-	{
-		Name:       "lazy-arena",
-		New:        NewLazyArena,
-		NewSharded: NewLazyShardedArenaRange,
-		NewArena:   NewLazyArena,
-		ThreadSafe: true,
-		Batch:      true,
-		Scan:       true,
-		BulkLoad:   true,
-		Desc:       "Lazy list with slab arenas and epoch-based node recycling",
-	},
-	{
-		Name:            "vbl-sharded",
-		Aliases:         []string{"sharded"},
-		New:             func() Set { return NewVBLSharded(DefaultShards) },
-		NewSharded:      NewVBLShardedRange,
-		NewShardedArena: NewVBLShardedArenaRange,
-		ThreadSafe:      true,
-		Batch:           true,
-		Scan:            true,
-		BulkLoad:        true,
-		Desc:            "VBL behind the order-preserving range partitioner (O(n/S) traversals)",
-	},
-	{
-		Name:            "lazy-sharded",
-		New:             func() Set { return NewLazySharded(DefaultShards) },
-		NewSharded:      NewLazyShardedRange,
-		NewShardedArena: NewLazyShardedArenaRange,
-		ThreadSafe:      true,
-		Batch:           true,
-		Scan:            true,
-		BulkLoad:        true,
-		Desc:            "Lazy list behind the range partitioner",
-	},
-	{
-		Name:       "harris-sharded",
-		New:        func() Set { return NewHarrisSharded(DefaultShards) },
-		NewSharded: NewHarrisShardedRange,
-		ThreadSafe: true,
-		Batch:      true,
-		Scan:       true,
-		BulkLoad:   true,
-		LockFree:   true,
-		Desc:       "Harris-Michael marker list behind the range partitioner (lock-free preserved)",
-	},
-	{
-		Name:       "vbskip-arena",
-		New:        NewVBSkipArena,
-		NewSharded: NewVBSkipShardedArenaRange,
-		NewArena:   NewVBSkipArena,
-		ThreadSafe: true,
-		Batch:      true,
-		Scan:       true,
-		BulkLoad:   true,
-		Desc:       "value-aware skip list with height-classed tower arenas and epoch recycling",
-	},
-	{
-		Name:            "vbskip-sharded",
-		Aliases:         []string{"skip-sharded"},
-		New:             func() Set { return NewVBSkipSharded(DefaultShards) },
-		NewSharded:      NewVBSkipShardedRange,
-		NewShardedArena: NewVBSkipShardedArenaRange,
-		ThreadSafe:      true,
-		Batch:           true,
-		Scan:            true,
-		BulkLoad:        true,
-		Desc:            "value-aware skip list behind the range partitioner (log-time per shard)",
-	},
-	{
-		Name:       "lazyskip-sharded",
-		New:        func() Set { return NewLazySkipSharded(DefaultShards) },
-		NewSharded: NewLazySkipShardedRange,
-		ThreadSafe: true,
-		Batch:      true,
-		Scan:       true,
-		BulkLoad:   true,
-		Desc:       "LazySkipList behind the range partitioner",
 	},
 }
 

@@ -60,7 +60,7 @@ rows=(
   for i in "${!rows[@]}"; do
     [ "$i" -gt 0 ] && printf ',\n'
     # shellcheck disable=SC2086  # rows are flag lists, word-split on purpose
-    /tmp/listset-synchrobench -impl vbl-sharded -shards 16 -threads 4 \
+    /tmp/listset-synchrobench -impl vbl -shards 16 -threads 4 \
       -range 20000 -update-ratio 50 -retry-budget 32 -sample-every 64 \
       -duration 700ms -warmup 200ms -runs 3 -json ${rows[$i]}
   done
@@ -88,9 +88,9 @@ fi
 # Ratio gates over medians and contains-p999s (one of each per report,
 # in file order; medians shrug off the odd descheduled CI run).
 awk -F': ' '
-/"median"/ { gsub(/,/, "", $2); m[nm++] = $2 }
+/"median"/ { gsub(/,/, "", $2); m[nm++] = $2 + 0 }
 /"contains"/ { incontains = 1 }
-incontains && /"p999"/ { gsub(/,/, "", $2); p[np++] = $2; incontains = 0 }
+incontains && /"p999"/ { gsub(/,/, "", $2); p[np++] = $2 + 0; incontains = 0 }
 END {
   if (nm != '"${#rows[@]}"' || np != '"${#rows[@]}"') {
     printf "bench_adapt: expected %d median and p999 entries, found %d/%d\n", '"${#rows[@]}"', nm, np > "/dev/stderr"

@@ -87,7 +87,7 @@ END {
     exit 1
   }
   best = (m[6] > m[7]) ? m[6] : m[7]
-  split("vbl lazy harris vbl-sharded", lists, " ")
+  split("vbl lazy harris sharded-vbl", lists, " ")
   for (i = 0; i < 4; i++) {
     if (best <= m[i]) {
       printf "bench_index: sharded skip (%.0f ops/s) does not dominate %s (%.0f ops/s) at range 20000\n", best, lists[i+1], m[i] > "/dev/stderr"

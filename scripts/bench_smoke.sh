@@ -26,10 +26,10 @@ go build -o /tmp/listset-synchrobench ./cmd/synchrobench
 #   0 vbl          @ 2048
 #   1 lazy         @ 2048
 #   2 harris       @ 2048
-#   3 vbl-sharded 8  @ 2048
+#   3 vbl, 8 shards  @ 2048
 #   4 vbl          @ 20000
-#   5 vbl-sharded 1  @ 20000   (façade overhead: within 10% of row 4)
-#   6 vbl-sharded 16 @ 20000   (O(n/S) payoff: >= 3x row 4)
+#   5 vbl, 1 shard   @ 20000   (façade overhead: within 10% of row 4)
+#   6 vbl, 16 shards @ 20000   (O(n/S) payoff: >= 3x row 4)
 #   7 vbl GC       @ 20000, 100% updates   (arena gate baseline)
 #   8 vbl arena    @ 20000, 100% updates   (allocs/op <= 0.25x row 7;
 #                                           throughput gated separately
@@ -41,10 +41,10 @@ rows=(
   "-impl vbl          -range 2048  -duration 500ms -warmup 100ms -runs 1"
   "-impl lazy         -range 2048  -duration 500ms -warmup 100ms -runs 1"
   "-impl harris       -range 2048  -duration 500ms -warmup 100ms -runs 1"
-  "-impl vbl-sharded  -range 2048  -duration 500ms -warmup 100ms -runs 1 -shards 8"
+  "-impl vbl          -range 2048  -duration 500ms -warmup 100ms -runs 1 -shards 8"
   "-impl vbl          -range 20000 -duration 900ms -warmup 300ms -runs 3"
-  "-impl vbl-sharded  -range 20000 -duration 900ms -warmup 300ms -runs 3 -shards 1"
-  "-impl vbl-sharded  -range 20000 -duration 900ms -warmup 300ms -runs 3 -shards 16"
+  "-impl vbl          -range 20000 -duration 900ms -warmup 300ms -runs 3 -shards 1"
+  "-impl vbl          -range 20000 -duration 900ms -warmup 300ms -runs 3 -shards 16"
   "-impl vbl          -range 20000 -duration 900ms -warmup 300ms -runs 3 -update-ratio 100"
   "-impl vbl          -range 20000 -duration 900ms -warmup 300ms -runs 3 -update-ratio 100 -arena"
   "-impl vbl          -range 2048  -duration 500ms -warmup 100ms -runs 1 -trace /tmp/listset-smoke.trace -stream 100ms"
@@ -76,7 +76,7 @@ done
 # Sharding gate: extract the median throughputs in file order (one
 # "median" per report; the median shrugs off the odd descheduled run
 # on shared CI machines) and check rows 4..6 against each other.
-awk -F': ' '/"median"/ { gsub(/,/, "", $2); m[n++] = $2 }
+awk -F': ' '/"median"/ { gsub(/,/, "", $2); m[n++] = $2 + 0 }
 END {
   if (n != '"${#rows[@]}"') {
     printf "bench_smoke: expected %d mean entries, found %d\n", '"${#rows[@]}"', n > "/dev/stderr"
@@ -84,12 +84,12 @@ END {
   }
   flat = m[4]; facade = m[5]; sharded = m[6]
   if (sharded < 3 * flat) {
-    printf "bench_smoke: vbl-sharded S=16 (%.0f ops/s) is below 3x flat vbl (%.0f ops/s) at range 20000\n", sharded, flat > "/dev/stderr"
+    printf "bench_smoke: sharded vbl S=16 (%.0f ops/s) is below 3x flat vbl (%.0f ops/s) at range 20000\n", sharded, flat > "/dev/stderr"
     exit 1
   }
   rel = (facade - flat) / flat; if (rel < 0) rel = -rel
   if (rel > 0.10) {
-    printf "bench_smoke: vbl-sharded S=1 (%.0f ops/s) deviates %.1f%% from flat vbl (%.0f ops/s), want <= 10%%\n", facade, 100 * rel, flat > "/dev/stderr"
+    printf "bench_smoke: sharded vbl S=1 (%.0f ops/s) deviates %.1f%% from flat vbl (%.0f ops/s), want <= 10%%\n", facade, 100 * rel, flat > "/dev/stderr"
     exit 1
   }
   printf "bench_smoke: sharding gate ok — S=16 %.1fx flat, S=1 within %.1f%%\n", sharded / flat, 100 * rel
@@ -99,7 +99,7 @@ END {
 # 100%-update cell, so the MemStats deltas are comparable. The arena
 # must cut allocs/op to a quarter or better (measured: ~100x).
 awk -F': ' '
-/"allocs_per_op"/ { gsub(/,/, "", $2); a[an++] = $2 }
+/"allocs_per_op"/ { gsub(/,/, "", $2); a[an++] = $2 + 0 }
 END {
   if (an != '"${#rows[@]}"') {
     printf "bench_smoke: expected %d allocs_per_op entries, found %d\n", '"${#rows[@]}"', an > "/dev/stderr"

@@ -22,17 +22,18 @@ go build -o "$bin" ./cmd/synchrobench
 # Shipped-suite rows: every implementation family that carries
 # failpoints, under the full shipped scenario set. The watchdog is far
 # above any healthy stall; it exists here to catch a real livelock.
-for impl in vbl lazy harris vbl-sharded vbskip lazyskip vbskip-sharded; do
-  echo "chaos_smoke: $impl under shipped scenarios"
-  out=$("$bin" -impl "$impl" -threads 4 -update-ratio 40 -range 256 \
+for row in "vbl" "lazy" "harris" "vbl -shards 16" "vbskip" "lazyskip" "vbskip -shards 16"; do
+  echo "chaos_smoke: $row under shipped scenarios"
+  # shellcheck disable=SC2086  # a row is -impl's value plus flags, word-split on purpose
+  out=$("$bin" -impl $row -threads 4 -update-ratio 40 -range 256 \
     -duration 300ms -warmup 50ms -runs 1 \
     -chaos shipped -retry-budget 4 -watchdog 30s -json)
   grep -q '"chaos"' <<<"$out" || {
-    echo "chaos_smoke: $impl report lacks the chaos protocol section" >&2
+    echo "chaos_smoke: $row report lacks the chaos protocol section" >&2
     exit 1
   }
   grep -q '"retry"' <<<"$out" || {
-    echo "chaos_smoke: $impl report lacks the retry section" >&2
+    echo "chaos_smoke: $row report lacks the retry section" >&2
     exit 1
   }
 done
@@ -72,7 +73,7 @@ echo "chaos_smoke: adaptive storm (controller must tighten, watchdog must stay q
 cat=/tmp/listset-tracecat-chaos
 go build -o "$cat" ./cmd/tracecat
 storm_trace=/tmp/listset-chaos-adapt.trace
-out=$("$bin" -impl vbl-sharded -shards 16 -threads 4 -update-ratio 60 \
+out=$("$bin" -impl vbl -shards 16 -threads 4 -update-ratio 60 \
   -range 256 -duration 150ms -warmup 0s -runs 1 \
   -chaos vbl-lock-next-at:fail:0.5 -retry-budget 8 -watchdog 5s \
   -adapt -adapt-interval 20ms -trace-depth 524288 -trace "$storm_trace" -json)
@@ -93,7 +94,7 @@ rm -f "$storm_trace"
 # injected failures into the valfail counters too, so the controller
 # must see a level-0 lock storm on the log-time structure exactly as a
 # flat-list one and tighten the budget without a watchdog fire.
-echo "chaos_smoke: adaptive skip storm (controller must tighten on vbskip-sharded)"
+echo "chaos_smoke: adaptive skip storm (controller must tighten on vbskip -shards 16)"
 out=$("$bin" -impl vbskip -shards 16 -threads 4 -update-ratio 60 \
   -range 256 -duration 150ms -warmup 0s -runs 1 \
   -chaos skip-lock-next-at:fail:0.5 -retry-budget 8 -watchdog 5s \

@@ -27,7 +27,7 @@ import (
 // broken cross-shard snapshot order.
 func TestChaosSkipShardSeamFaults(t *testing.T) {
 	const shards = 16
-	s := NewVBSkipShardedRange(shards, 0, 64)
+	s := mustLookup(t, "vbskip").NewSharded(shards, 0, 64)
 	reb, ok := s.(interface {
 		EnableRebalance()
 		Rebalance(bounds []int64) (moved int, err error)
@@ -138,18 +138,14 @@ func TestChaosSkipShardSeamFaults(t *testing.T) {
 	}
 }
 
-// skipImpls returns the registry rows the skip-index work added: both
-// skip lists, the arena-backed variant and the sharded forms.
+// skipImpls returns every form of both skip lists — plain, arena and
+// sharded — with the sharded forms partitioning the fuzz key domain
+// [0, 32).
 func skipImpls(t testing.TB) []Impl {
 	t.Helper()
-	names := []string{"vbskip", "vbskip-arena", "vbskip-sharded", "lazyskip", "lazyskip-sharded"}
 	var out []Impl
-	for _, name := range names {
-		im, err := Lookup(name)
-		if err != nil {
-			t.Fatalf("registry lost %q: %v", name, err)
-		}
-		out = append(out, im)
+	for _, name := range []string{"vbskip", "lazyskip"} {
+		out = append(out, forms(mustLookup(t, name), 0, 32)...)
 	}
 	return out
 }
@@ -162,8 +158,8 @@ func skipImpls(t testing.TB) []Impl {
 // keys (InsertAll/RemoveAll/ContainsAll).
 func FuzzSkipVsOracle(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 3, 9, 5, 1})                            // one insert batch
-	f.Add([]byte{0, 6, 31, 30, 29, 3, 1, 0, 1, 2, 30, 29})  // descending, then remove
+	f.Add([]byte{0, 3, 9, 5, 1})                                 // one insert batch
+	f.Add([]byte{0, 6, 31, 30, 29, 3, 1, 0, 1, 2, 30, 29})       // descending, then remove
 	f.Add([]byte{0, 4, 8, 8, 8, 9, 3, 0, 31, 1, 1, 8, 3, 7, 11}) // dups, full scan, churn
 	seed := make([]byte, 0, 96)
 	for i := byte(0); i < 31; i++ {

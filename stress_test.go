@@ -11,7 +11,7 @@ import (
 // Operations on disjoint keys must not interfere, so every per-goroutine
 // result is exactly predictable and the final contents are exact.
 func TestConcurrentDisjointKeys(t *testing.T) {
-	forEachConcurrentImpl(t, func(t *testing.T, im Impl) {
+	forEachConcurrentImpl(t, 0, 512, func(t *testing.T, im Impl) {
 		s := im.New()
 		const (
 			goroutines   = 8
@@ -84,7 +84,7 @@ func TestConcurrentDisjointKeys(t *testing.T) {
 //
 // A lost update, double insert, or double remove breaks the balance.
 func TestConcurrentBalance(t *testing.T) {
-	forEachConcurrentImpl(t, func(t *testing.T, im Impl) {
+	forEachConcurrentImpl(t, 0, 32, func(t *testing.T, im Impl) {
 		s := im.New()
 		const (
 			keyRange   = 32
@@ -149,7 +149,7 @@ func TestConcurrentBalance(t *testing.T) {
 // Keys outside the churn band are permanent: readers must always find
 // them, no matter what unlinking is in flight around them.
 func TestConcurrentReadersDuringChurn(t *testing.T) {
-	forEachConcurrentImpl(t, func(t *testing.T, im Impl) {
+	forEachConcurrentImpl(t, 0, 128, func(t *testing.T, im Impl) {
 		s := im.New()
 		const (
 			permanent  = 64 // keys 0,2,4,... are never touched
@@ -212,7 +212,7 @@ func TestConcurrentReadersDuringChurn(t *testing.T) {
 // TestConcurrentInsertersSameKey has every goroutine insert the same key;
 // exactly one may win each generation.
 func TestConcurrentInsertersSameKey(t *testing.T) {
-	forEachConcurrentImpl(t, func(t *testing.T, im Impl) {
+	forEachConcurrentImpl(t, 0, 7, func(t *testing.T, im Impl) {
 		s := im.New()
 		const (
 			goroutines  = 8
@@ -245,7 +245,7 @@ func TestConcurrentInsertersSameKey(t *testing.T) {
 
 // TestConcurrentRemoversSameKey mirrors the above for removes.
 func TestConcurrentRemoversSameKey(t *testing.T) {
-	forEachConcurrentImpl(t, func(t *testing.T, im Impl) {
+	forEachConcurrentImpl(t, 0, 7, func(t *testing.T, im Impl) {
 		s := im.New()
 		const (
 			goroutines  = 8
@@ -285,7 +285,7 @@ func TestConcurrentRemoversSameKey(t *testing.T) {
 // as a lost permanent key, a failed owned-key reinsert, or a
 // non-ascending snapshot.
 func TestConcurrentShardBoundaryChurn(t *testing.T) {
-	forEachConcurrentImpl(t, func(t *testing.T, im Impl) {
+	forEachConcurrentImpl(t, 0, 64, func(t *testing.T, im Impl) {
 		if im.NewSharded == nil {
 			t.Skip("no sharded form")
 		}
@@ -350,7 +350,7 @@ func TestConcurrentShardBoundaryChurn(t *testing.T) {
 // validation arguments are about: adjacent keys inserted and removed
 // concurrently, so unlinks race with links into the same window.
 func TestConcurrentNeighbourUpdates(t *testing.T) {
-	forEachConcurrentImpl(t, func(t *testing.T, im Impl) {
+	forEachConcurrentImpl(t, -100, 101, func(t *testing.T, im Impl) {
 		s := im.New()
 		// Anchor nodes so every churn key has stable far neighbours.
 		s.Insert(-100)
